@@ -25,12 +25,32 @@ measures independently (both directions are generated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.controller.pinglist import PingParameters, Pinglist, PinglistEntry
 from repro.netsim.topology import ClosTopology, MultiDCTopology
 
 __all__ = ["GeneratorConfig", "PingmeshGenerator"]
+
+# Trim order under ``max_peers_per_server``, most important first:
+# intra-pod > tor-level (high qos) > inter-dc > vip > low-qos / payload
+# duplicates, which share the last level whatever their purpose.
+_TRIM_PRIORITY = {"intra-pod": 0, "tor-level": 1, "inter-dc": 2, "vip": 3}
+_DUPLICATE_PRIORITY = len(_TRIM_PRIORITY)
+
+
+def _priority(purpose: str, qos: str, payload_bytes: int) -> int:
+    if qos == "low" or payload_bytes > 0:
+        return _DUPLICATE_PRIORITY
+    return _TRIM_PRIORITY[purpose]
+
+
+class _Target(NamedTuple):
+    """A peer known only by id and address: a frozen inter-DC pick or a VIP."""
+
+    device_id: str
+    ip: str
 
 
 @dataclass(frozen=True)
@@ -86,15 +106,20 @@ class PingmeshGenerator:
         # dc_index -> server_id -> post-threshold entry list
         self._entry_cache: dict[int, dict[str, list[PinglistEntry]]] = {}
         self._cached_config: GeneratorConfig | None = self.config
-        # dc_index -> ((device_id, ip), ...): the inter-DC selection frozen
-        # at regeneration time, so a GET-time (lazy) computation cannot see
-        # a different liveness view than an eager regenerate would have.
+        # (purpose, qos, payload) -> peer id -> the one entry every cached
+        # list naming it shares; bounded by peers x purposes in use.
+        self._shared_entries: dict[tuple, dict[str, PinglistEntry]] = {}
+        # dc_index -> (_Target(device_id, ip), ...): the inter-DC selection
+        # frozen at regeneration time, so a GET-time (lazy) computation
+        # cannot see a different liveness view than an eager regenerate
+        # would have.
         self._inter_dc_frozen: dict[int, tuple] | None = None
 
     # -- cache maintenance ------------------------------------------------------
 
     def invalidate_all(self) -> None:
         self._entry_cache.clear()
+        self._shared_entries.clear()
 
     def invalidate_dcs(self, dc_indices) -> None:
         for index in dc_indices:
@@ -108,7 +133,7 @@ class PingmeshGenerator:
     def _inter_dc_live(self) -> dict[int, tuple]:
         return {
             dc.dc_index: tuple(
-                (server.device_id, str(server.ip))
+                _Target(server.device_id, str(server.ip))
                 for server in self.inter_dc_selection(dc)
             )
             for dc in self.topology.dcs
@@ -200,148 +225,124 @@ class PingmeshGenerator:
         )
 
     def _compute_entries(self, server) -> list[PinglistEntry]:
-        """The three-level graph for one server, post-threshold."""
+        """The three-level graph for one server, post-threshold.
+
+        Candidates stay peer lists; only the entries the threshold keeps
+        are looked up, each one shared by every pinglist naming it.
+        """
         dc = self.topology.dc(server.dc_index)
         config = self.config
-        entries: list[PinglistEntry] = []
 
         # Level 1: intra-pod complete graph.
-        for peer in dc.servers_in_pod(server.pod_index):
-            if peer.device_id != server.device_id:
-                entries.append(
-                    PinglistEntry(
-                        peer_id=peer.device_id,
-                        peer_ip=str(peer.ip),
-                        purpose="intra-pod",
-                    )
-                )
+        pod_peers = [
+            peer for peer in dc.servers_in_pod(server.pod_index) if peer is not server
+        ]
 
         # Level 2: ToR-level complete graph — "server i in ToRx pings
-        # server i in ToRy".
-        tor_level: list[PinglistEntry] = []
-        for pod in range(dc.spec.n_pods):
-            if pod == server.pod_index:
-                continue
-            peers = dc.servers_in_pod(pod)
-            if server.host_index < len(peers):
-                peer = peers[server.host_index]
-                tor_level.append(
-                    PinglistEntry(
-                        peer_id=peer.device_id,
-                        peer_ip=str(peer.ip),
-                        purpose="tor-level",
-                    )
-                )
-        entries.extend(tor_level)
+        # server i in ToRy".  Servers are stored pod by pod, so one strided
+        # slice holds host ``i`` of every pod.
+        tor_peers = dc.servers[server.host_index :: dc.spec.servers_per_pod]
+        del tor_peers[server.pod_index]
+
+        # (peers, purpose, qos, payload bytes), in construction order.
+        groups = [
+            (pod_peers, "intra-pod", "high", 0),
+            (tor_peers, "tor-level", "high", 0),
+        ]
 
         # §6.2 QoS extension: the ToR-level graph again, low priority class.
         if config.enable_qos_low:
-            entries.extend(
-                PinglistEntry(
-                    peer_id=entry.peer_id,
-                    peer_ip=entry.peer_ip,
-                    purpose=entry.purpose,
-                    qos="low",
-                )
-                for entry in tor_level
-            )
+            groups.append((tor_peers, "tor-level", "low", 0))
 
         # §4.1 payload pings: every Nth ToR-level peer also gets a payload
         # probe, to catch length-dependent drops (FCS/SerDes errors).
         if config.payload_every_nth_peer > 0:
-            entries.extend(
-                PinglistEntry(
-                    peer_id=entry.peer_id,
-                    peer_ip=entry.peer_ip,
-                    purpose=entry.purpose,
-                    qos=entry.qos,
-                    payload_bytes=config.payload_bytes,
+            groups.append(
+                (
+                    tor_peers[:: config.payload_every_nth_peer],
+                    "tor-level",
+                    "high",
+                    config.payload_bytes,
                 )
-                for entry in tor_level[:: config.payload_every_nth_peer]
             )
 
         # Level 3: inter-DC complete graph over selected servers.  The
         # frozen regeneration-time snapshot wins over a live computation:
         # liveness may have drifted between regenerate and this (lazy) GET,
         # and eager/lazy byte parity requires one consistent view.
-        if len(self.topology.dcs) > 1:
-            frozen = self._inter_dc_frozen
-            if frozen:
-                my_selection = {
-                    sid for sid, _ip in frozen.get(server.dc_index, ())
-                }
-                if server.device_id in my_selection:
-                    for other_dc in self.topology.dcs:
-                        if other_dc.dc_index == server.dc_index:
-                            continue
-                        for peer_id, peer_ip in frozen.get(
-                            other_dc.dc_index, ()
-                        ):
-                            entries.append(
-                                PinglistEntry(
-                                    peer_id=peer_id,
-                                    peer_ip=peer_ip,
-                                    purpose="inter-dc",
-                                )
-                            )
-            else:
-                my_selection = {s.device_id for s in self.inter_dc_selection(dc)}
-                if server.device_id in my_selection:
-                    for other_dc in self.topology.dcs:
-                        if other_dc.dc_index == server.dc_index:
-                            continue
-                        for peer in self.inter_dc_selection(other_dc):
-                            entries.append(
-                                PinglistEntry(
-                                    peer_id=peer.device_id,
-                                    peer_ip=str(peer.ip),
-                                    purpose="inter-dc",
-                                )
-                            )
+        if len(self.topology.dcs) > 1 and any(
+            peer.device_id == server.device_id
+            for peer in self._inter_dc_peers(server.dc_index)
+        ):
+            others = [
+                peer
+                for other in self.topology.dcs
+                if other.dc_index != server.dc_index
+                for peer in self._inter_dc_peers(other.dc_index)
+            ]
+            groups.append((others, "inter-dc", "high", 0))
 
         # §6.2 VIP monitoring: extra logical targets.
-        entries.extend(
-            PinglistEntry(peer_id=vip, peer_ip=vip, purpose="vip")
-            for vip in config.vip_targets
+        groups.append(
+            ([_Target(vip, vip) for vip in config.vip_targets], "vip", "high", 0)
         )
 
-        return self._apply_threshold(entries)
+        entries: list[PinglistEntry] = []
+        for peers, purpose, qos, payload in self._apply_threshold(groups):
+            shared = self._shared_entries.setdefault((purpose, qos, payload), {})
+            for peer in peers:
+                entry = shared.get(peer.device_id)
+                if entry is None:
+                    entry = PinglistEntry(
+                        peer.device_id, str(peer.ip), purpose, qos, payload
+                    )
+                    shared[peer.device_id] = entry
+                entries.append(entry)
+        return entries
 
-    def _apply_threshold(self, entries: list[PinglistEntry]) -> list[PinglistEntry]:
+    def _inter_dc_peers(self, dc_index: int):
+        """One DC's inter-DC participants, from the frozen snapshot if any."""
+        if self._inter_dc_frozen:
+            return self._inter_dc_frozen.get(dc_index, ())
+        return self.inter_dc_selection(self.topology.dc(dc_index))
+
+    def _apply_threshold(self, groups: list[tuple]) -> list[tuple]:
         """Trim to ``max_peers_per_server``, dropping lowest priority first.
 
-        Priority: intra-pod > tor-level (high qos) > inter-dc > vip >
-        low-qos / payload duplicates.  Within a class, a deterministic
-        stride-sample keeps coverage spread rather than truncating a prefix.
+        Takes and returns ``(peers, purpose, qos, payload)`` groups.  Under
+        the limit the groups come back in construction order; over it,
+        level by level in ``_TRIM_PRIORITY`` order.  Within a level, a
+        deterministic stride-sample over its groups' concatenated peers
+        keeps coverage spread rather than truncating a prefix.
         """
         limit = self.config.max_peers_per_server
-        if len(entries) <= limit:
-            return entries
-
-        def priority(entry: PinglistEntry) -> int:
-            if entry.qos == "low" or entry.payload_bytes > 0:
-                return 4
-            return {
-                "intra-pod": 0,
-                "tor-level": 1,
-                "inter-dc": 2,
-                "vip": 3,
-            }[entry.purpose]
-
-        buckets: dict[int, list[PinglistEntry]] = {}
-        for entry in entries:
-            buckets.setdefault(priority(entry), []).append(entry)
-        kept: list[PinglistEntry] = []
-        for level in sorted(buckets):
-            room = limit - len(kept)
+        if sum(len(peers) for peers, *_ in groups) <= limit:
+            return groups
+        levels: dict[int, list[tuple]] = {}
+        for group in groups:
+            _peers, purpose, qos, payload = group
+            levels.setdefault(_priority(purpose, qos, payload), []).append(group)
+        kept: list[tuple] = []
+        room = limit
+        for level in sorted(levels):
             if room <= 0:
                 break
-            bucket = buckets[level]
-            if len(bucket) <= room:
-                kept.extend(bucket)
-            else:
-                stride = len(bucket) / room
-                kept.extend(bucket[int(i * stride)] for i in range(room))
+            level_groups = levels[level]
+            size = sum(len(peers) for peers, *_ in level_groups)
+            if size <= room:
+                kept.extend(level_groups)
+                room -= size
+                continue
+            stride = size / room
+            picks = [int(i * stride) for i in range(room)]
+            offset = 0
+            for peers, *rest in level_groups:
+                end = offset + len(peers)
+                kept.append(
+                    ([peers[j - offset] for j in picks if offset <= j < end], *rest)
+                )
+                offset = end
+            room = 0
         return kept
 
     def generate_all(self, generation: int = 1, t: float = 0.0) -> dict[str, Pinglist]:

@@ -14,6 +14,7 @@ inter-DC, or VIP monitoring) and a QoS class, plus the ping parameters
 
 from __future__ import annotations
 
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -105,39 +106,33 @@ class Pinglist:
     # -- XML serialization ---------------------------------------------------
 
     def to_xml(self) -> str:
-        root = ET.Element(
-            "Pinglist",
-            {
-                "server": self.server_id,
-                "generation": str(self.generation),
-                "generatedAt": repr(self.generated_at),
-            },
+        """Render the pinglist file, byte for byte what ElementTree writes."""
+        params = self.parameters
+        attr, text = _escape_attrib, _escape_text
+        peers = "".join(
+            [
+                f'<Peer id="{attr(entry.peer_id)}" ip="{attr(entry.peer_ip)}" '
+                f'purpose="{entry.purpose}" qos="{entry.qos}" '
+                f'payloadBytes="{entry.payload_bytes}" />'
+                for entry in self.entries
+            ]
         )
-        params = ET.SubElement(root, "Parameters")
-        ET.SubElement(params, "ProbeIntervalSeconds").text = repr(
-            self.parameters.probe_interval_s
+        return (
+            f'<Pinglist server="{attr(self.server_id)}" '
+            f'generation="{attr(str(self.generation))}" '
+            f'generatedAt="{attr(repr(self.generated_at))}">'
+            "<Parameters>"
+            f"<ProbeIntervalSeconds>{text(repr(params.probe_interval_s))}"
+            "</ProbeIntervalSeconds>"
+            f"<PayloadBytes>{text(str(params.payload_bytes))}</PayloadBytes>"
+            f"<TimeoutSeconds>{text(repr(params.timeout_s))}</TimeoutSeconds>"
+            f"<TcpPortHigh>{text(str(params.tcp_port_high))}</TcpPortHigh>"
+            f"<TcpPortLow>{text(str(params.tcp_port_low))}</TcpPortLow>"
+            f"<VipServicePort>{text(str(params.vip_service_port))}</VipServicePort>"
+            "</Parameters>"
+            + (f"<Peers>{peers}</Peers>" if peers else "<Peers />")
+            + "</Pinglist>"
         )
-        ET.SubElement(params, "PayloadBytes").text = str(self.parameters.payload_bytes)
-        ET.SubElement(params, "TimeoutSeconds").text = repr(self.parameters.timeout_s)
-        ET.SubElement(params, "TcpPortHigh").text = str(self.parameters.tcp_port_high)
-        ET.SubElement(params, "TcpPortLow").text = str(self.parameters.tcp_port_low)
-        ET.SubElement(params, "VipServicePort").text = str(
-            self.parameters.vip_service_port
-        )
-        peers = ET.SubElement(root, "Peers")
-        for entry in self.entries:
-            ET.SubElement(
-                peers,
-                "Peer",
-                {
-                    "id": entry.peer_id,
-                    "ip": entry.peer_ip,
-                    "purpose": entry.purpose,
-                    "qos": entry.qos,
-                    "payloadBytes": str(entry.payload_bytes),
-                },
-            )
-        return ET.tostring(root, encoding="unicode")
 
     @classmethod
     def from_xml(cls, text: str) -> "Pinglist":
@@ -151,6 +146,9 @@ class Pinglist:
             params_el = root.find("Parameters")
             if params_el is None:
                 raise PinglistParseError("missing Parameters element")
+            peers_el = root.find("Peers")
+            if peers_el is None:
+                raise PinglistParseError("missing Peers element")
             parameters = PingParameters(
                 probe_interval_s=float(params_el.findtext("ProbeIntervalSeconds")),
                 payload_bytes=int(params_el.findtext("PayloadBytes")),
@@ -160,16 +158,7 @@ class Pinglist:
                 # Absent in pinglists from older controllers: keep the default.
                 vip_service_port=int(params_el.findtext("VipServicePort") or 80),
             )
-            entries = [
-                PinglistEntry(
-                    peer_id=peer.attrib["id"],
-                    peer_ip=peer.attrib["ip"],
-                    purpose=peer.attrib["purpose"],
-                    qos=peer.attrib["qos"],
-                    payload_bytes=int(peer.attrib.get("payloadBytes", "0")),
-                )
-                for peer in root.find("Peers") or []
-            ]
+            entries = [_parse_entry(peer.attrib) for peer in peers_el]
             return cls(
                 server_id=root.attrib["server"],
                 generation=int(root.attrib["generation"]),
@@ -181,3 +170,65 @@ class Pinglist:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise PinglistParseError(f"invalid pinglist content: {exc}") from exc
+
+
+# ElementTree's escaping, with its cheap membership tests up front: almost
+# no value has anything to escape.  Attribute values also encode the quote
+# and whitespace control characters; element text only the markup ones.
+_ATTR_ESCAPES = str.maketrans(
+    {
+        "&": "&amp;",
+        "<": "&lt;",
+        ">": "&gt;",
+        '"': "&quot;",
+        "\r": "&#13;",
+        "\n": "&#10;",
+        "\t": "&#09;",
+    }
+)
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _escape_attrib(value: str) -> str:
+    if (
+        "&" in value
+        or "<" in value
+        or ">" in value
+        or '"' in value
+        or "\r" in value
+        or "\n" in value
+        or "\t" in value
+    ):
+        return value.translate(_ATTR_ESCAPES)
+    return value
+
+
+def _escape_text(value: str) -> str:
+    if "&" in value or "<" in value or ">" in value:
+        return value.translate(_TEXT_ESCAPES)
+    return value
+
+
+# Parsed entries, interned on their raw <Peer> attributes.  A fleet's
+# pinglists name each peer many times over; every agent parsing the same
+# attributes shares one validated entry.  Weak values keep only entries a
+# live pinglist still references, so the table needs no cap.
+_PARSED_ENTRIES: "weakref.WeakValueDictionary[tuple, PinglistEntry]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _parse_entry(attrib: dict) -> PinglistEntry:
+    key = (
+        attrib["id"],
+        attrib["ip"],
+        attrib["purpose"],
+        attrib["qos"],
+        attrib.get("payloadBytes", "0"),
+    )
+    entry = _PARSED_ENTRIES.get(key)
+    if entry is None:
+        peer_id, peer_ip, purpose, qos, payload = key
+        entry = PinglistEntry(peer_id, peer_ip, purpose, qos, int(payload))
+        _PARSED_ENTRIES[key] = entry
+    return entry

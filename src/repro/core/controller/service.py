@@ -166,9 +166,7 @@ class PingmeshControllerService:
         gets byte-identical XML, because the generator's entry memo and
         frozen inter-DC selection are shared and liveness-independent.
         """
-        try:
-            self.topology.server(server_id)
-        except (KeyError, TypeError):
+        if not self._server_known(server_id):
             return None
         return self.generator.generate_for(
             server_id, generation=generation, t=t

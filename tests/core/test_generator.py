@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.controller.generator import GeneratorConfig, PingmeshGenerator
+from repro.core.controller.pinglist import PinglistEntry
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 
 
@@ -222,3 +223,171 @@ class TestThreshold:
             PingmeshGenerator(big).generate_for(big.dc(0).servers[0].device_id)
         )
         assert big_len > small_len
+
+
+# -- reference oracle ----------------------------------------------------------
+#
+# The straightforward algorithm: build every candidate entry, then bucket
+# and stride-sample the whole list.  ``generate_for`` only builds what it
+# keeps, and must return equal lists in the same order.
+
+_REFERENCE_PRIORITY = {"intra-pod": 0, "tor-level": 1, "inter-dc": 2, "vip": 3}
+
+
+def _reference_threshold(entries, limit):
+    if len(entries) <= limit:
+        return entries
+
+    def priority(entry):
+        if entry.qos == "low" or entry.payload_bytes > 0:
+            return 4
+        return _REFERENCE_PRIORITY[entry.purpose]
+
+    buckets = {}
+    for entry in entries:
+        buckets.setdefault(priority(entry), []).append(entry)
+    kept = []
+    for level in sorted(buckets):
+        room = limit - len(kept)
+        if room <= 0:
+            break
+        bucket = buckets[level]
+        if len(bucket) <= room:
+            kept.extend(bucket)
+        else:
+            stride = len(bucket) / room
+            kept.extend(bucket[int(i * stride)] for i in range(room))
+    return kept
+
+
+def _reference_entries(generator, server_id):
+    topology, config = generator.topology, generator.config
+    server = topology.server(server_id)
+    dc = topology.dc(server.dc_index)
+    entries = [
+        PinglistEntry(peer.device_id, str(peer.ip), "intra-pod")
+        for peer in dc.servers_in_pod(server.pod_index)
+        if peer.device_id != server.device_id
+    ]
+    tor_level = []
+    for pod in range(dc.spec.n_pods):
+        peers = dc.servers_in_pod(pod)
+        if pod != server.pod_index and server.host_index < len(peers):
+            peer = peers[server.host_index]
+            tor_level.append(PinglistEntry(peer.device_id, str(peer.ip), "tor-level"))
+    entries.extend(tor_level)
+    if config.enable_qos_low:
+        entries.extend(
+            PinglistEntry(e.peer_id, e.peer_ip, e.purpose, qos="low") for e in tor_level
+        )
+    if config.payload_every_nth_peer > 0:
+        entries.extend(
+            PinglistEntry(
+                e.peer_id, e.peer_ip, e.purpose, e.qos, payload_bytes=config.payload_bytes
+            )
+            for e in tor_level[:: config.payload_every_nth_peer]
+        )
+    if len(topology.dcs) > 1:
+        frozen = generator._inter_dc_frozen
+        if frozen:
+            selection = {index: list(pairs) for index, pairs in frozen.items()}
+        else:
+            selection = {
+                other.dc_index: [
+                    (s.device_id, str(s.ip)) for s in generator.inter_dc_selection(other)
+                ]
+                for other in topology.dcs
+            }
+        if server.device_id in {sid for sid, _ip in selection[server.dc_index]}:
+            for other in topology.dcs:
+                if other.dc_index != server.dc_index:
+                    entries.extend(
+                        PinglistEntry(sid, ip, "inter-dc")
+                        for sid, ip in selection[other.dc_index]
+                    )
+    entries.extend(PinglistEntry(vip, vip, "vip") for vip in config.vip_targets)
+    return _reference_threshold(entries, config.max_peers_per_server)
+
+
+def _assert_matches_reference(generator):
+    for server in generator.topology.all_servers():
+        got = generator.generate_for(server.device_id).entries
+        assert got == _reference_entries(generator, server.device_id), server.device_id
+
+
+# Default DC: 7 intra-pod + 7 ToR-level candidates per server; with every
+# extension on, 7 low-qos + 4 payload duplicates + 2 VIPs more (27).  The
+# limits cut inside each priority level, including the shared last level
+# where the stride spans both duplicate groups.
+_LIMITS = (1, 5, 7, 10, 14, 15, 16, 20, 25, 27, 5000)
+_EXTENSIONS = dict(
+    enable_qos_low=True,
+    payload_every_nth_peer=2,
+    vip_targets=("search.vip", "storage.vip"),
+)
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("limit", _LIMITS)
+    def test_base_graph(self, single_dc, limit):
+        config = GeneratorConfig(max_peers_per_server=limit)
+        _assert_matches_reference(PingmeshGenerator(single_dc, config))
+
+    @pytest.mark.parametrize("limit", _LIMITS)
+    def test_every_extension(self, single_dc, limit):
+        config = GeneratorConfig(max_peers_per_server=limit, **_EXTENSIONS)
+        _assert_matches_reference(PingmeshGenerator(single_dc, config))
+
+    @pytest.mark.parametrize(
+        "extension",
+        [
+            {"enable_qos_low": True},
+            {"payload_every_nth_peer": 3},
+            {"vip_targets": ("a.vip",)},
+        ],
+    )
+    @pytest.mark.parametrize("limit", (9, 16, 5000))
+    def test_one_extension(self, single_dc, extension, limit):
+        config = GeneratorConfig(max_peers_per_server=limit, **extension)
+        _assert_matches_reference(PingmeshGenerator(single_dc, config))
+
+    @pytest.mark.parametrize("limit", (10, 16, 20, 5000))
+    def test_three_dc_inter_dc_selection(self, multi_dc, limit):
+        config = GeneratorConfig(max_peers_per_server=limit, **_EXTENSIONS)
+        generator = PingmeshGenerator(multi_dc, config)
+        _assert_matches_reference(generator)  # live selection
+        generator.note_topology_delta()
+        assert generator._inter_dc_frozen
+        _assert_matches_reference(generator)  # frozen snapshot
+
+    @pytest.mark.parametrize("limit", (12, 5000))
+    def test_after_add_podset_growth(self, limit):
+        topology = MultiDCTopology.single(TopologySpec())
+        generator = PingmeshGenerator(
+            topology, GeneratorConfig(max_peers_per_server=limit, **_EXTENSIONS)
+        )
+        _assert_matches_reference(generator)
+        topology.dc(0).add_podset()
+        generator.note_topology_delta([0])
+        _assert_matches_reference(generator)
+
+
+class TestSharedEntries:
+    def test_distinct_entries_bounded_by_servers_times_purposes(self):
+        topology = MultiDCTopology.single(
+            TopologySpec(n_podsets=4, pods_per_podset=16, servers_per_pod=16)
+        )
+        pinglists = PingmeshGenerator(topology).generate_all()
+        entries = [entry for p in pinglists.values() for entry in p.entries]
+        purposes = {entry.purpose for entry in entries}
+        assert len(pinglists) == 1024 and purposes == {"intra-pod", "tor-level"}
+        assert len({id(entry) for entry in entries}) <= len(pinglists) * len(purposes)
+
+    def test_invalidate_all_drops_the_shared_entries(self, single_dc):
+        generator = PingmeshGenerator(single_dc)
+        sid = single_dc.dc(0).servers[0].device_id
+        before = generator.generate_for(sid).entries
+        generator.invalidate_all()
+        after = generator.generate_for(sid).entries
+        assert after == before
+        assert all(a is not b for a, b in zip(after, before))

@@ -1,10 +1,16 @@
 """Tests for pinglist models and XML round-tripping."""
 
+import gc
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.controller.pinglist import (
+    _PARSED_ENTRIES,
+    VALID_PURPOSES,
+    VALID_QOS,
     PingParameters,
     Pinglist,
     PinglistEntry,
@@ -143,3 +149,169 @@ class TestParserRobustness:
             Pinglist.from_xml("<Pinglist" + soup)
         except PinglistParseError:
             pass
+
+
+# -- renderer byte parity --------------------------------------------------------
+
+
+def _reference_to_xml(pinglist):
+    """The pinglist file as ElementTree writes it: the renderer's oracle."""
+    root = ET.Element(
+        "Pinglist",
+        {
+            "server": pinglist.server_id,
+            "generation": str(pinglist.generation),
+            "generatedAt": repr(pinglist.generated_at),
+        },
+    )
+    params = ET.SubElement(root, "Parameters")
+    p = pinglist.parameters
+    for tag, text in (
+        ("ProbeIntervalSeconds", repr(p.probe_interval_s)),
+        ("PayloadBytes", str(p.payload_bytes)),
+        ("TimeoutSeconds", repr(p.timeout_s)),
+        ("TcpPortHigh", str(p.tcp_port_high)),
+        ("TcpPortLow", str(p.tcp_port_low)),
+        ("VipServicePort", str(p.vip_service_port)),
+    ):
+        ET.SubElement(params, tag).text = text
+    peers = ET.SubElement(root, "Peers")
+    for entry in pinglist.entries:
+        ET.SubElement(
+            peers,
+            "Peer",
+            {
+                "id": entry.peer_id,
+                "ip": entry.peer_ip,
+                "purpose": entry.purpose,
+                "qos": entry.qos,
+                "payloadBytes": str(entry.payload_bytes),
+            },
+        )
+    return ET.tostring(root, encoding="unicode")
+
+
+_names = st.text(
+    alphabet=st.one_of(st.sampled_from("&<>\"'\r\n\t.é中"), st.characters()),
+    max_size=12,
+)
+_floats = st.one_of(
+    st.sampled_from([1e-07, 0.1 + 0.2, 60.0, 1e300]),
+    st.floats(min_value=1e-12, max_value=1e12),
+)
+_entries = st.builds(
+    PinglistEntry,
+    peer_id=_names,
+    peer_ip=_names,
+    purpose=st.sampled_from(VALID_PURPOSES),
+    qos=st.sampled_from(VALID_QOS),
+    payload_bytes=st.integers(min_value=0, max_value=65_536),
+)
+_ports = st.integers(min_value=1, max_value=65_535)
+
+
+class TestRendererParity:
+    @given(
+        server_id=_names,
+        generation=st.integers(min_value=-(2**70), max_value=2**70),
+        generated_at=st.one_of(_floats, st.floats()),
+        parameters=st.builds(
+            PingParameters,
+            probe_interval_s=_floats,
+            payload_bytes=st.integers(min_value=0, max_value=10**9),
+            timeout_s=st.one_of(_floats, st.floats(allow_nan=False)),
+            tcp_port_high=_ports,
+            tcp_port_low=_ports,
+            vip_service_port=_ports,
+        ),
+        entries=st.lists(_entries, max_size=8),
+    )
+    def test_template_matches_elementtree(
+        self, server_id, generation, generated_at, parameters, entries
+    ):
+        pinglist = Pinglist(server_id, generation, generated_at, parameters, entries)
+        assert pinglist.to_xml() == _reference_to_xml(pinglist)
+
+    def test_empty_entry_list_renders_short_peers(self):
+        pinglist = _pinglist(entries=[])
+        pinglist.entries = []
+        xml = pinglist.to_xml()
+        assert "<Peers />" in xml
+        assert xml == _reference_to_xml(pinglist)
+
+    def test_special_characters_escaped_like_elementtree(self):
+        pinglist = _pinglist(
+            entries=[PinglistEntry('a&b<c>"d\'', "\r\n\t", "vip")]
+        )
+        pinglist.server_id = "srv&<>\"\n"
+        xml = pinglist.to_xml()
+        assert xml == _reference_to_xml(pinglist)
+        assert 'id="a&amp;b&lt;c&gt;&quot;d\'"' in xml
+        assert 'ip="&#13;&#10;&#09;"' in xml
+        parsed = Pinglist.from_xml(xml)
+        assert parsed.server_id == pinglist.server_id
+        assert parsed.entries == pinglist.entries
+
+
+# -- parsed-entry interning ------------------------------------------------------
+
+
+def _xml_naming(peer_id, purpose="tor-level", payload="0"):
+    return (
+        '<Pinglist server="s" generation="1" generatedAt="0.0"><Parameters>'
+        "<ProbeIntervalSeconds>60.0</ProbeIntervalSeconds>"
+        "<PayloadBytes>0</PayloadBytes><TimeoutSeconds>9.0</TimeoutSeconds>"
+        "<TcpPortHigh>81</TcpPortHigh><TcpPortLow>82</TcpPortLow>"
+        "</Parameters><Peers>"
+        f'<Peer id="{peer_id}" ip="10.9.9.9" purpose="{purpose}" qos="high" '
+        f'payloadBytes="{payload}" />'
+        "</Peers></Pinglist>"
+    )
+
+
+class TestParsedEntryInterning:
+    def test_pinglists_naming_one_peer_share_its_entry(self):
+        first = Pinglist.from_xml(_xml_naming("intern/shared"))
+        second = Pinglist.from_xml(_xml_naming("intern/shared"))
+        assert first.entries[0] is second.entries[0]
+        other = Pinglist.from_xml(_xml_naming("intern/shared", payload="1000"))
+        assert other.entries[0] is not first.entries[0]
+
+    def test_table_holds_only_live_entries(self):
+        def ours():
+            return [key for key in _PARSED_ENTRIES.keys() if key[0].startswith("gc/")]
+
+        gc.collect()
+        assert ours() == []
+        pinglists = [
+            Pinglist.from_xml(_xml_naming(f"gc/{i % 3}")) for i in range(30)
+        ]
+        assert len(ours()) == 3
+        del pinglists
+        gc.collect()
+        assert ours() == []
+
+    @pytest.mark.parametrize(
+        "purpose, payload",
+        [("warp", "0"), ("tor-level", "x"), ("tor-level", "-5"), ("tor-level", "1.5")],
+    )
+    def test_interned_id_does_not_shortcut_validation(self, purpose, payload):
+        valid = Pinglist.from_xml(_xml_naming("intern/validated"))
+        with pytest.raises(PinglistParseError):
+            Pinglist.from_xml(
+                _xml_naming("intern/validated", purpose=purpose, payload=payload)
+            )
+        assert valid.entries[0].purpose == "tor-level"
+
+
+class TestRequiredElements:
+    def test_missing_peers_rejected(self):
+        xml = _pinglist().to_xml()
+        start, end = xml.index("<Peers>"), xml.index("</Peers>") + len("</Peers>")
+        with pytest.raises(PinglistParseError, match="Peers"):
+            Pinglist.from_xml(xml[:start] + xml[end:])
+
+    def test_short_empty_peers_accepted(self):
+        xml = _xml_naming("x")
+        start, end = xml.index("<Peers>"), xml.index("</Peers>") + len("</Peers>")
+        assert Pinglist.from_xml(xml[:start] + "<Peers />" + xml[end:]).entries == []
