@@ -22,9 +22,11 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.cosmos.columnar import col
 from repro.netsim import tcp
 
 __all__ = [
+    "DROPPED_PROBE",
     "classify_probe",
     "estimate_drop_rate",
     "estimate_drop_rate_from_arrays",
@@ -34,7 +36,12 @@ __all__ = [
 # RTT windows around the retransmission signatures (seconds).
 _ONE_DROP_LOW = tcp.syn_rtt_signature(1)  # 3 s
 _TWO_DROP_LOW = tcp.syn_rtt_signature(2)  # 9 s
-_TWO_DROP_HIGH = tcp.syn_rtt_signature(3)  # 21 s (failed-probe wait)
+
+# The heuristic's numerator as a column expression: a successful probe at or
+# above the 3 s signature counts one drop, however many it really saw.  It
+# spells the test exactly as :func:`classify_probe` does on ``rtt_us / 1e6``,
+# so every query path agrees with the row form bit for bit.
+DROPPED_PROBE = col("success") & (col("rtt_us") / 1e6 >= _ONE_DROP_LOW)
 
 
 def classify_probe(success: bool, rtt_s: float) -> int | None:
@@ -91,13 +98,18 @@ def estimate_drop_rate(rows: Iterable[dict[str, Any]]) -> DropRateEstimate:
 def estimate_drop_rate_from_arrays(
     rtt_s: np.ndarray, success: np.ndarray
 ) -> DropRateEstimate:
-    """Vectorized form for the batch-probe benches (≥10⁶ samples)."""
+    """Vectorized form for the batch-probe benches (≥10⁶ samples).
+
+    Counts exactly what :func:`estimate_drop_rate` counts on rows with
+    ``rtt_us = rtt_s * 1e6``.
+    """
     if rtt_s.shape != success.shape:
         raise ValueError(
             f"shape mismatch: rtt {rtt_s.shape} vs success {success.shape}"
         )
-    ok = success.astype(bool)
-    ok_rtts = rtt_s[ok]
-    one = int(((ok_rtts >= _ONE_DROP_LOW) & (ok_rtts < _TWO_DROP_LOW)).sum())
-    two = int(((ok_rtts >= _TWO_DROP_LOW) & (ok_rtts < _TWO_DROP_HIGH)).sum())
-    return DropRateEstimate(int(ok.sum()), one, two)
+    columns = {"success": success.astype(bool), "rtt_us": rtt_s * 1e6}
+    dropped = DROPPED_PROBE.eval_columns(columns)
+    two = int((dropped & (columns["rtt_us"] / 1e6 >= _TWO_DROP_LOW)).sum())
+    return DropRateEstimate(
+        int(columns["success"].sum()), int(dropped.sum()) - two, two
+    )

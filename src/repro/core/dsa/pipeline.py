@@ -18,6 +18,9 @@ Each job tick EXTRACTs its time window from the store exactly once: a small
 window cache (keyed on window bounds and the store's data version) shares
 the rowset between the SCOPE jobs, the SLA tracker, the detectors and the
 heatmaps of a tick, and across coinciding ticks of different cadences.
+The SLA tracker, the heatmaps and the silent-drop watch are SCOPE queries
+over that shared (column-backed) window; rows become dicts only on their
+way into the results database and as the daily black-hole detector's input.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.core.dsa.silentdrop import SilentDropDetector
 from repro.core.dsa.sla import SlaScope, SlaTracker
 from repro.core.dsa.visualization import LatencyHeatmap
 from repro.cosmos.jobs import JobManager, ScopeJob
+from repro.cosmos.scope import RowSet
 from repro.netsim.simclock import SECONDS_PER_DAY
 
 __all__ = ["DsaConfig", "DsaPipeline"]
@@ -100,7 +104,7 @@ class DsaPipeline:
         self.anomaly_tracker = SeriesAnomalyTracker()
         # (start, end, store.version) -> extracted RowSet.  Bounded: ticks
         # at different cadences overlap within a burst, not across history.
-        self._window_cache: dict[tuple[float, float, int], object] = {}
+        self._window_cache: dict[tuple[float, float, int], RowSet] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -122,7 +126,7 @@ class DsaPipeline:
         start = max(0.0, end - period)
         return start, end
 
-    def _window_rowset(self, start: float, end: float):
+    def _window_rowset(self, start: float, end: float) -> RowSet:
         """EXTRACT one window, at most once per (window, store version).
 
         Every consumer of a tick — and coinciding ticks of other cadences —
@@ -153,11 +157,10 @@ class DsaPipeline:
                 job_interdc_latency(self.store, start, end, rows=window),
             )
 
-        rows = window.output()
         pattern_rows = []
         for dc in self.topology.dcs:
             heatmap = LatencyHeatmap.from_records(
-                rows, dc.spec.n_pods, dc.spec.pods_per_podset, dc=dc.dc_index
+                window, dc.spec.n_pods, dc.spec.pods_per_podset, dc=dc.dc_index
             )
             classification = heatmap.classify()
             pattern_rows.append(
@@ -172,14 +175,14 @@ class DsaPipeline:
         self.database.insert("patterns_10min", pattern_rows)
 
         # DC-scope SLA check for fast alerting.
-        slas = self.sla_tracker.track_scope(rows, SlaScope.DATACENTER, start, end)
+        slas = self.sla_tracker.track_scope(window, SlaScope.DATACENTER, start, end)
         self.alert_engine.evaluate(slas)
 
-        self._silent_drop_watch(rows, end)
+        self._silent_drop_watch(window, end)
         return podpair
 
-    def _silent_drop_watch(self, rows: list[dict], t: float) -> None:
-        incidents = self.silentdrop_detector.detect(rows, t=t)
+    def _silent_drop_watch(self, window: RowSet, t: float) -> None:
+        incidents = self.silentdrop_detector.detect(window, t=t)
         for incident in incidents:
             if self.fabric is not None:
                 self.silentdrop_detector.localize(incident, self.fabric)
@@ -208,8 +211,7 @@ class DsaPipeline:
         start, end = self._window(t, self.config.hourly_period_s)
         if end <= start:
             return []
-        rows = self._window_rowset(start, end).output()
-        slas = self.sla_tracker.track_all(rows, start, end)
+        slas = self.sla_tracker.track_all(self._window_rowset(start, end), start, end)
         sla_rows = [sla.as_row() for sla in slas]
         self.database.insert("sla_hourly", sla_rows)
         # Alert on macro scopes only: single-server P99 windows are too
@@ -238,8 +240,9 @@ class DsaPipeline:
         drop_rows = job_scope_drop_rates(self.store, start, end, rows=window)
         self.database.insert("drop_daily", drop_rows)
 
-        rows = window.output()
-        report = self.blackhole_detector.detect(rows, t=end)
+        # The black-hole detector still reads row dicts: the one window
+        # output of the pipeline, once a day.
+        report = self.blackhole_detector.detect(window.output(), t=end)
         self.blackhole_reports.append(report)
         self.database.insert(
             "blackhole_daily",
@@ -276,8 +279,10 @@ class DsaPipeline:
     def latest_heatmap(self, dc: int, t: float) -> LatencyHeatmap:
         """Rebuild the newest heatmap of one DC on demand."""
         start, end = self._window(t, self.config.near_real_time_period_s)
-        rows = self._window_rowset(start, end).output()
         dc_topo = self.topology.dc(dc)
         return LatencyHeatmap.from_records(
-            rows, dc_topo.spec.n_pods, dc_topo.spec.pods_per_podset, dc=dc
+            self._window_rowset(start, end),
+            dc_topo.spec.n_pods,
+            dc_topo.spec.pods_per_podset,
+            dc=dc,
         )

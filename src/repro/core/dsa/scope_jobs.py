@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.dsa.drop_inference import DROPPED_PROBE
 from repro.core.dsa.records import LATENCY_STREAM
 from repro.cosmos.scope import Aggregator, RowSet, agg, col, extract, lit
-from repro.netsim import tcp
 
 __all__ = [
     "window_rows",
@@ -32,18 +32,11 @@ __all__ = [
 
 Row = dict[str, Any]
 
-# One SYN retransmission signature (~3 s), in microseconds: the §4.2 drop
-# heuristic's numerator counts every successful probe at or above it once.
-_DROP_SIGNATURE_US = tcp.syn_rtt_signature(1) * 1e6
-
 
 def _drop_rate_aggregate() -> Aggregator:
     """The §4.2 heuristic as an aggregate; numerically identical to
     :func:`repro.core.dsa.drop_inference.estimate_drop_rate`."""
-    return agg.ratio(
-        numerator=col("success") & (col("rtt_us") >= _DROP_SIGNATURE_US),
-        denominator=col("success"),
-    )
+    return agg.ratio(numerator=DROPPED_PROBE, denominator=col("success"))
 
 
 def window_rows(store, window_start: float, window_end: float) -> RowSet:

@@ -18,9 +18,10 @@ The paper's incident playbook, automated:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-from repro.core.dsa.drop_inference import estimate_drop_rate
+from repro.core.dsa.drop_inference import DROPPED_PROBE, estimate_drop_rate
+from repro.cosmos.scope import RowSet, agg, as_rowset, col
 from repro.netsim.traceroute import localize_drop, tcp_traceroute
 
 __all__ = ["SilentDropIncident", "SilentDropDetector"]
@@ -80,23 +81,41 @@ class SilentDropDetector:
     # -- step 1+2: detect and scope -----------------------------------------------
 
     def detect(
-        self, rows: list[Row], baseline_drop_rate: float = 1e-4, t: float = 0.0
+        self,
+        rows: RowSet | Iterable[Row],
+        baseline_drop_rate: float = 1e-4,
+        t: float = 0.0,
     ) -> list[SilentDropIncident]:
-        """One incident per data center whose drop rate is excessive."""
-        by_dc: dict[int, list[Row]] = {}
-        for row in rows:
-            if row["src_dc"] == row["dst_dc"]:  # intra-DC view per DC
-                by_dc.setdefault(row["src_dc"], []).append(row)
+        """One incident per data center whose drop rate is excessive.
+
+        The per-DC rates are one SCOPE query over ``rows`` (the DSA window,
+        or a plain list run on the engine's row path).  Only a DC over the
+        threshold — the rare incident path — has its rows output as dicts
+        for scoping and pair selection.
+        """
+        intra = as_rowset(rows).where(col("src_dc") == col("dst_dc"))
+        if not intra:
+            return []
+        per_dc = (
+            intra.group_by("src_dc")
+            .aggregate(
+                successful=agg.count_if(col("success")),
+                rate=agg.ratio(DROPPED_PROBE, col("success")),
+            )
+            .order_by("src_dc")
+            .output()
+        )
         incidents = []
-        for dc, dc_rows in sorted(by_dc.items()):
-            estimate = estimate_drop_rate(dc_rows)
-            if estimate.successful == 0 or estimate.rate < self.incident_drop_rate:
+        for stats in per_dc:
+            if stats["successful"] == 0 or stats["rate"] < self.incident_drop_rate:
                 continue
+            dc = stats["src_dc"]
+            dc_rows = intra.where(col("src_dc") == dc).output()
             incidents.append(
                 SilentDropIncident(
                     t=t,
                     dc=dc,
-                    measured_drop_rate=estimate.rate,
+                    measured_drop_rate=stats["rate"],
                     baseline_drop_rate=baseline_drop_rate,
                     suspected_tier=self._suspect_tier(dc_rows),
                     affected_pairs=self._affected_pairs(dc_rows),

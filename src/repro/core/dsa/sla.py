@@ -14,16 +14,16 @@ servers they use").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
-import numpy as np
-
-from repro.core.dsa.drop_inference import estimate_drop_rate
+from repro.core.dsa.drop_inference import DROPPED_PROBE
+from repro.cosmos.scope import RowSet, agg, as_rowset, col
 
 __all__ = ["SlaScope", "NetworkSla", "ServiceDefinition", "SlaTracker"]
 
 Row = dict[str, Any]
+Rows = RowSet | Iterable[Row]
 
 
 class SlaScope(enum.Enum):
@@ -78,48 +78,68 @@ class ServiceDefinition:
         return cls(name=name, server_ids=frozenset(server_ids))
 
 
-def _scope_key(row: Row, scope: SlaScope) -> str:
-    """The aggregation key of a record at a scope (source-side attribution:
-    each server measures its own view of the network, §3.3.1)."""
-    if scope == SlaScope.SERVER:
-        return row["src"]
-    if scope == SlaScope.POD:
-        return f"dc{row['src_dc']}/pod{row['src_pod']}"
-    if scope == SlaScope.PODSET:
-        return f"dc{row['src_dc']}/ps{row['src_podset']}"
-    if scope == SlaScope.DATACENTER:
-        return f"dc{row['src_dc']}"
-    if scope == SlaScope.DC_PAIR:
-        return f"dc{row['src_dc']}->dc{row['dst_dc']}"
-    raise ValueError(f"scope {scope} needs explicit service mapping")
+# Per scope: the columns a record aggregates on (source-side attribution:
+# each server measures its own view of the network, §3.3.1) and how one
+# group's values spell its key.
+_SCOPE_KEYS: dict[SlaScope, tuple[tuple[str, ...], str]] = {
+    SlaScope.SERVER: (("src",), "{0}"),
+    SlaScope.POD: (("src_dc", "src_pod"), "dc{0}/pod{1}"),
+    SlaScope.PODSET: (("src_dc", "src_podset"), "dc{0}/ps{1}"),
+    SlaScope.DATACENTER: (("src_dc",), "dc{0}"),
+    SlaScope.DC_PAIR: (("src_dc", "dst_dc"), "dc{0}->dc{1}"),
+}
+
+# Rows without a ``dst_dc`` column (older fixtures, synthetic rows) are
+# treated as intra-DC.
+_INTRA_DC = col("dst_dc", default=col("src_dc")) == col("src_dc")
+_CROSSES_DC = ~_INTRA_DC
+
+# (probe_count, drop_rate, p50_us, p99_us) of one group of records, in
+# NetworkSla's field order.
+_Stats = tuple[int, float, float | None, float | None]
+_NO_PROBES: _Stats = (0, 0.0, None, None)
 
 
-def _crosses_dc(row: Row) -> bool:
-    """True for inter-DC records.  Rows without a ``dst_dc`` column (older
-    fixtures, synthetic rows) are treated as intra-DC."""
-    return row.get("dst_dc", row["src_dc"]) != row["src_dc"]
+def _group_stats(rows: RowSet, keys: tuple[str, ...]) -> dict[tuple, _Stats]:
+    """SLA metrics per distinct value of ``keys``, in one grouped query.
+
+    Groups split on ``success`` as well: only successful probes carry a
+    latency and form the drop heuristic's denominator (§4.2), so the
+    successful half gives the percentiles and the rate, and both halves
+    add to the probe count.
+    """
+    if not rows:
+        return {}
+    halves = (
+        rows.group_by(*keys, "success")
+        .aggregate(
+            probes=agg.count(),
+            dropped=agg.count_if(DROPPED_PROBE),
+            p50_us=agg.percentile("rtt_us", 50),
+            p99_us=agg.percentile("rtt_us", 99),
+        )
+        .output()
+    )
+    stats: dict[tuple, _Stats] = {}
+    for half in halves:
+        key = tuple(half[name] for name in keys)
+        count, *metrics = stats.get(key, _NO_PROBES)
+        if half["success"]:
+            metrics = [half["dropped"] / half["probes"], half["p50_us"], half["p99_us"]]
+        stats[key] = (count + half["probes"], *metrics)
+    return stats
 
 
 def compute_sla(
-    rows: list[Row],
+    rows: Rows,
     scope: SlaScope,
     key: str,
     window_start: float,
     window_end: float,
 ) -> NetworkSla:
     """Aggregate one group of records into an SLA."""
-    estimate = estimate_drop_rate(rows)
-    ok_rtts = [row["rtt_us"] for row in rows if row["success"]]
-    return NetworkSla(
-        scope=scope,
-        key=key,
-        window_start=window_start,
-        window_end=window_end,
-        probe_count=len(rows),
-        drop_rate=estimate.rate,
-        p50_us=float(np.percentile(ok_rtts, 50)) if ok_rtts else None,
-        p99_us=float(np.percentile(ok_rtts, 99)) if ok_rtts else None,
-    )
+    stats = _group_stats(as_rowset(rows), ()).get((), _NO_PROBES)
+    return NetworkSla(scope, key, window_start, window_end, *stats)
 
 
 class SlaTracker:
@@ -139,15 +159,19 @@ class SlaTracker:
         return sorted(self._services)
 
     # -- computation --------------------------------------------------------
+    #
+    # Each method is a SCOPE query over a rowset: the DSA pipeline hands in
+    # its shared column-backed window, and a plain list of rows runs the
+    # same query on the engine's row path.
 
     def track_scope(
         self,
-        rows: list[Row],
+        rows: Rows,
         scope: SlaScope,
         window_start: float,
         window_end: float,
     ) -> list[NetworkSla]:
-        """One SLA per distinct key at ``scope`` (not SERVICE).
+        """One SLA per distinct key at ``scope``, sorted by key.
 
         Inter-DC records belong exclusively to the DC_PAIR scope: a healthy
         long-haul probe pays ~10-400 ms of speed-of-light RTT, so merging it
@@ -156,48 +180,38 @@ class SlaTracker:
         """
         if scope == SlaScope.SERVICE:
             return self.track_services(rows, window_start, window_end)
-        if scope == SlaScope.DC_PAIR:
-            rows = [row for row in rows if _crosses_dc(row)]
-        else:
-            rows = [row for row in rows if not _crosses_dc(row)]
-        groups: dict[str, list[Row]] = {}
-        for row in rows:
-            groups.setdefault(_scope_key(row, scope), []).append(row)
-        return [
-            compute_sla(group, scope, key, window_start, window_end)
-            for key, group in sorted(groups.items())
+        in_scope = _CROSSES_DC if scope == SlaScope.DC_PAIR else _INTRA_DC
+        keys, spelling = _SCOPE_KEYS[scope]
+        groups = _group_stats(as_rowset(rows).where(in_scope), keys)
+        slas = [
+            NetworkSla(scope, spelling.format(*key), window_start, window_end, *stats)
+            for key, stats in groups.items()
         ]
+        return sorted(slas, key=lambda sla: sla.key)
 
     def track_services(
-        self, rows: list[Row], window_start: float, window_end: float
+        self, rows: Rows, window_start: float, window_end: float
     ) -> list[NetworkSla]:
         """Per-service SLAs: a record belongs to a service when its *source*
         server runs that service.  Inter-DC rows are excluded — the service
         threshold is the intra-DC one, and a service whose pivot servers
         probe across DCs would otherwise read as breached while healthy."""
+        intra = as_rowset(rows).where(_INTRA_DC)
         slas = []
         for name, service in sorted(self._services.items()):
-            service_rows = [
-                row
-                for row in rows
-                if row["src"] in service.server_ids and not _crosses_dc(row)
-            ]
-            if service_rows:
+            served = intra.where(col("src").isin(service.server_ids))
+            stats = _group_stats(served, ()).get(())
+            if stats is not None:
                 slas.append(
-                    compute_sla(
-                        service_rows,
-                        SlaScope.SERVICE,
-                        name,
-                        window_start,
-                        window_end,
-                    )
+                    NetworkSla(SlaScope.SERVICE, name, window_start, window_end, *stats)
                 )
         return slas
 
     def track_all(
-        self, rows: list[Row], window_start: float, window_end: float
+        self, rows: Rows, window_start: float, window_end: float
     ) -> list[NetworkSla]:
         """Every scope, one pass — the macro and micro levels of §1."""
+        rows = as_rowset(rows)
         slas: list[NetworkSla] = []
         for scope in (
             SlaScope.DATACENTER,

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
+
+from repro.cosmos.scope import RowSet, agg, as_rowset, col
 
 __all__ = [
     "CellColor",
@@ -78,29 +80,42 @@ class LatencyHeatmap:
 
     @classmethod
     def from_records(
-        cls, rows: list[Row], n_pods: int, pods_per_podset: int, dc: int = 0
+        cls,
+        rows: RowSet | Iterable[Row],
+        n_pods: int,
+        pods_per_podset: int,
+        dc: int = 0,
     ) -> "LatencyHeatmap":
         """Build the matrix from latency records of one DC.
+
+        A SCOPE query over ``rows`` (the DSA window, or a plain list run on
+        the engine's row path): one P99 per (src_pod, dst_pod) cell.
 
         Only successful probes carry a latency; a failed probe never
         completed a connection, so it contributes *no data* — "a white block
         means there is no latency data available".  A pod-pair that is
         entirely timing out therefore paints white (Fig. 8(b)), while one
-        that is merely slow paints red (Fig. 8(c)/(d)).
+        that is merely slow paints red (Fig. 8(c)/(d)).  Rows without a
+        ``success`` column count as successful.
         """
         heatmap = cls(n_pods, pods_per_podset)
-        cells: dict[tuple[int, int], list[float]] = {}
-        for row in rows:
-            if row["src_dc"] != dc or row["dst_dc"] != dc:
-                continue
-            if not row.get("success", True):
-                continue
-            src_pod, dst_pod = row["src_pod"], row["dst_pod"]
-            if not (0 <= src_pod < n_pods and 0 <= dst_pod < n_pods):
-                continue  # VIP probes and the like carry no pod coordinates
-            cells.setdefault((src_pod, dst_pod), []).append(row["rtt_us"])
-        for (src_pod, dst_pod), rtts in cells.items():
-            heatmap.p99_us[src_pod, dst_pod] = float(np.percentile(rtts, 99))
+        in_dc = as_rowset(rows).where(
+            (col("src_dc") == dc)
+            & (col("dst_dc") == dc)
+            & col("success", default=True)
+            # VIP probes and the like carry no pod coordinates.
+            & (col("src_pod") >= 0)
+            & (col("src_pod") < n_pods)
+            & (col("dst_pod") >= 0)
+            & (col("dst_pod") < n_pods)
+        )
+        if in_dc:
+            cells = in_dc.group_by("src_pod", "dst_pod").aggregate(
+                p99_us=agg.percentile("rtt_us", 99)
+            )
+            heatmap.p99_us[cells.column("src_pod"), cells.column("dst_pod")] = (
+                cells.column("p99_us")
+            )
         return heatmap
 
     def podset_of(self, pod: int) -> int:

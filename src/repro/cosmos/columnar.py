@@ -298,12 +298,29 @@ def _as_expr(value: Any) -> Expr:
     return value if isinstance(value, Expr) else lit(value)
 
 
-def col(name: str) -> Expr:
-    """Reference a column: ``col("rtt_us") >= 2.5e6``."""
+_REQUIRED = object()
+
+
+def col(name: str, default: Any = _REQUIRED) -> Expr:
+    """Reference a column: ``col("rtt_us") >= 2.5e6``.
+
+    With a ``default`` (a constant or an :class:`Expr`), rows and column
+    sets that lack the column read the default instead of raising, e.g.
+    ``col("dst_dc", default=col("src_dc"))`` for rows written before
+    ``dst_dc`` existed.  Such a column is not a requirement of the
+    expression, so it stays out of :attr:`Expr.columns`.
+    """
+    if default is _REQUIRED:
+        return Expr(
+            lambda row: row[name],
+            lambda cols: cols[name],
+            frozenset((name,)),
+        )
+    fallback = _as_expr(default)
     return Expr(
-        lambda row: row[name],
-        lambda cols: cols[name],
-        frozenset((name,)),
+        lambda row: row[name] if name in row else fallback(row),
+        lambda cols: cols[name] if name in cols else fallback.eval_columns(cols),
+        fallback.columns,
     )
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "RowSet",
     "GroupedRowSet",
     "agg",
+    "as_rowset",
     "col",
     "extract",
     "lit",
@@ -348,11 +349,13 @@ class _SegmentedColumns:
             return np.empty(0, dtype=np.float64)
         values = self._value_sorted(name)
         fraction = q / 100.0
-        position = self.starts + fraction * (self.counts - 1)
+        # numpy's virtual index, (n - 1) * q, taken within the segment: the
+        # weight must not see the segment's offset, whose addition rounds.
+        position = fraction * (self.counts - 1)
         low = np.floor(position).astype(np.intp)
         high = np.ceil(position).astype(np.intp)
         t = position - low
-        a, b = values[low], values[high]
+        a, b = values[self.starts + low], values[self.starts + high]
         span = b - a
         # numpy's _lerp: blend from whichever side is nearer, for symmetry.
         result = np.where(t >= 0.5, b - span * (1.0 - t), a + span * t)
@@ -627,9 +630,14 @@ class RowSet:
     def output(self) -> list[Row]:
         """Materialize as plain dicts (SCOPE's OUTPUT statement).
 
-        Always fresh copies — the only rows a caller may mutate.
+        Always fresh copies — the only rows a caller may mutate.  A
+        column-backed set builds them straight from its arrays and caches
+        no row form, so an output leaves the set as lean as it was.
         """
-        return [dict(row) for row in self._materialized()]
+        if self._rows is None:
+            assert self._columns is not None
+            return ColumnBlock(self._columns, self._n).to_rows()
+        return [dict(row) for row in self._rows]
 
 
 class GroupedRowSet:
@@ -683,6 +691,12 @@ class GroupedRowSet:
                 row[name] = fn(group_rows)
             rows.append(row)
         return RowSet(rows)
+
+
+def as_rowset(rows: RowSet | Iterable[Row]) -> RowSet:
+    """``rows`` itself when already a :class:`RowSet`, else a row-backed
+    set over it — so a query function accepts a window or a plain list."""
+    return rows if isinstance(rows, RowSet) else RowSet(rows)
 
 
 def extract(

@@ -62,8 +62,10 @@ class TestEstimateFromRows:
 
 class TestEstimateFromArrays:
     def test_matches_row_version(self):
-        rtts = np.array([250e-6, 3.1, 9.2, 0.0005, 21.0])
-        success = np.array([True, True, True, True, False])
+        # A successful 21.5 s probe is past the failed-probe wait, yet the
+        # row form still counts it as one drop: so must the array form.
+        rtts = np.array([250e-6, 3.1, 9.2, 0.0005, 21.0, 21.5])
+        success = np.array([True, True, True, True, False, True])
         rows = [
             {"success": bool(s), "rtt_us": r * 1e6} for r, s in zip(rtts, success)
         ]

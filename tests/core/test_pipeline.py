@@ -1,11 +1,17 @@
 """Tests for the DSA pipeline cadences and wiring."""
 
+import random
+
 import pytest
 
+from repro.core.dsa import pipeline as pipeline_module
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
 from repro.core.dsa.records import LATENCY_STREAM
+from repro.core.dsa.scope_jobs import window_rows
+from repro.core.dsa.sla import ServiceDefinition, SlaTracker
 from repro.cosmos.jobs import JobManager
+from repro.cosmos.scope import RowSet
 from repro.cosmos.store import CosmosStore
 from repro.netsim.simclock import EventQueue, SimClock
 from repro.netsim.topology import MultiDCTopology, TopologySpec
@@ -200,6 +206,73 @@ class TestSingleExtraction:
         store.append(LATENCY_STREAM, [_record(599.0)], t=600.0)
         pipeline.run_10min_job(600.0)
         assert store.read_count == before + 1  # fresh data, fresh extract
+
+
+def _seed_noisy_records(store, until_t, seed=13):
+    """A pod mesh with spread latencies, drop signatures, failures and
+    VIP probes, appended in several uploads (several column blocks)."""
+    rng = random.Random(seed)
+    t = 0.0
+    while t < until_t:
+        records = []
+        for src_pod in range(8):
+            for dst_pod in range(8):
+                rtt_us = rng.lognormvariate(5.5, 0.6)
+                if rng.random() < 0.02:
+                    rtt_us += 3e6  # one SYN retransmission
+                records.append(
+                    _record(t, src_pod, dst_pod, rtt_us, success=rng.random() > 0.01)
+                )
+            vip = _record(t, src_pod, 0, 0.0, success=False)
+            vip.update(dst="vip0", dst_podset=-1, dst_pod=-1, purpose="vip")
+            records.append(vip)
+        store.append(LATENCY_STREAM, records, t=t)
+        t += 60.0
+
+
+class TestNoRowMaterialization:
+    """The 10-minute and hourly jobs read the window's columns: no row dict
+    of a window is built, and the tables equal the row path's."""
+
+    @staticmethod
+    def _run(store):
+        db = ResultsDatabase()
+        pipeline = DsaPipeline(
+            store=store,
+            database=db,
+            job_manager=JobManager(EventQueue(SimClock())),
+            topology=MultiDCTopology.single(TopologySpec()),
+            sla_tracker=SlaTracker([ServiceDefinition.of("svc", ["dc0/s1", "dc0/s2"])]),
+            config=DsaConfig(ingestion_delay_s=0.0),
+        )
+        for t in (600.0, 1800.0, 3600.0):
+            pipeline.run_10min_job(t)
+        pipeline.run_hourly_job(3600.0)
+        return {
+            table: db.query(table)
+            for table in ("podpair_10min", "patterns_10min", "sla_hourly")
+        }
+
+    def test_jobs_never_build_window_rows(self, monkeypatch):
+        store = CosmosStore()
+        _seed_noisy_records(store, 3600.0)
+        assert window_rows(store, 0.0, 3600.0).is_columnar
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                pipeline_module,
+                "window_rows",
+                lambda *args: RowSet(window_rows(*args).output()),
+            )
+            row_path = self._run(store)
+
+        def refuse(columns):
+            raise AssertionError("a window was materialized as row dicts")
+
+        monkeypatch.setattr("repro.cosmos.scope._rows_from_columns", refuse)
+        columnar = self._run(store)
+        assert all(columnar.values())
+        assert columnar == row_path
 
 
 class TestConfigValidation:

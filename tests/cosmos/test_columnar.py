@@ -182,3 +182,15 @@ class TestExpressions:
         expr = (col("a") + 1) * col("b")
         per_row = [expr(row) for row in self.ROWS]
         assert expr.eval_columns(columns).tolist() == per_row
+
+    def test_default_fills_a_missing_column(self, columns):
+        expr = col("missing", default=col("a")) == 2
+        assert expr.columns == {"a"}
+        assert [bool(expr(row)) for row in self.ROWS] == [False, True, False]
+        assert expr.eval_columns(columns).tolist() == [False, True, False]
+
+    def test_default_is_unused_when_the_column_exists(self, columns):
+        expr = col("ok", default=True)
+        assert [expr(row) for row in self.ROWS] == [True, False, True]
+        assert expr.eval_columns(columns).tolist() == [True, False, True]
+        assert col("absent", default=7).eval_columns(columns) == 7

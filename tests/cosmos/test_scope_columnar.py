@@ -8,6 +8,7 @@ percentiles, empty ratio denominators) and a randomized property test.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,6 +313,35 @@ class TestAggregateParity:
             rows.group_by("src_pod").aggregate(p=agg.percentile("rtt_us", q)).output(),
             cols.group_by("src_pod").aggregate(p=agg.percentile("rtt_us", q)).output(),
         )
+
+
+class TestPercentileExactness:
+    """The segmented percentile is ``np.percentile`` exactly, wherever the
+    group starts in the window (a weight computed from the absolute array
+    position loses bits to the segment offset)."""
+
+    @pytest.mark.parametrize("q", [1, 50, 99])
+    def test_group_deep_in_the_array(self, q):
+        rng = np.random.default_rng(20150817)
+        first = rng.uniform(0.0, 1000.0, 200_000)
+        second = rng.uniform(0.0, 1000.0, 1_000)
+        rows = RowSet.from_columns(
+            {
+                "k": np.repeat([0, 1], [len(first), len(second)]),
+                "v": np.concatenate([first, second]),
+            }
+        )
+        out = rows.group_by("k").aggregate(p=agg.percentile("v", q)).output()
+        assert out == [
+            {"k": 0, "p": float(np.percentile(first, q))},
+            {"k": 1, "p": float(np.percentile(second, q))},
+        ]
+
+    def test_output_caches_no_row_form(self):
+        _rows, cols = both_paths()
+        first = cols.output()
+        assert cols.is_columnar and cols._rows is None
+        assert cols.output() == first and cols.output()[0] is not first[0]
 
 
 class TestRandomizedParity:
