@@ -21,26 +21,11 @@ driver that runs probe rounds a *shard* at a time:
   on ``pingmesh/latency-class``) and the stream plane's shard aggregator —
   everything mergeable, one merge at window close.
 
-Optionally a worker pool executes the per-shard class draws concurrently —
-``executor="thread"`` (the GIL-bound default when ``workers > 0``) or
-``executor="process"`` (true parallelism past the GIL).  Shared-fabric side
-effects (the probe-conservation ledger, SNMP counters) are deferred through
-:class:`~repro.netsim.fabric.ClassLedger` and applied after the join in
-deterministic shard order, so worker count never changes results'
-accounting.  Process workers never see the fabric at all: each shard ships
-its RNG state plus the pure model parameters of its merged plan, the worker
-replays :func:`~repro.netsim.fabric.execute_class_groups` (the exact draw
-sequence the in-process engine uses), and the driver adopts the outcomes
-and the advanced RNG state — so serial, thread and process execution are
-bit-identical under one seed.  Probe observers (the chaos invariant
-catalogue) force serial execution — observer callbacks are not thread-safe
-and the fabric refuses ledger-deferred rounds while any are attached.
+Shards run one after another, in (dc, podset) order.  Each shard draws
+its class outcomes from its own RNG stream.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,49 +38,9 @@ from repro.core.dsa.records import (
     make_records,
 )
 from repro.core.system import PingmeshSystem
-from repro.netsim.fabric import (
-    ClassLedger,
-    ClassRoundPlan,
-    execute_class_groups,
-    merge_class_plans,
-)
-from repro.netsim.latency import LatencyModel
+from repro.netsim.fabric import ClassRoundPlan, merge_class_plans
 
-__all__ = ["FleetShard", "ShardedFleet", "EXECUTORS"]
-
-EXECUTORS = ("serial", "thread", "process")
-
-
-@dataclass(frozen=True)
-class _WireGroup:
-    """A :class:`~repro.netsim.fabric.ClassGroup` stripped to the model
-    fields a worker process needs — no member pairs, no live objects."""
-
-    purpose: str
-    qos: str
-    dc_index: int
-    dst_dc: int
-    scope: object  # PathScope (enum: pickles by name)
-    n_hops: int
-    wan_rtt: float
-    p_attempt: float
-    n: int
-
-
-def _run_shard_payload(payload):
-    """Execute one shard's class draws in a worker process.
-
-    ``payload`` is ``(wire_groups, profiles_by_dc, t, rng_state)``; the
-    return value is ``(outcomes, final_rng_state)`` so the driver can
-    reassign the shard's generator and keep executors interchangeable
-    mid-run.  Module-level (picklable) and fabric-free by design.
-    """
-    wire_groups, profiles, t, rng_state = payload
-    models = {dc: LatencyModel(profile) for dc, profile in profiles.items()}
-    rng = np.random.default_rng()
-    rng.bit_generator.state = rng_state
-    outcomes = execute_class_groups(wire_groups, models, t, rng)
-    return outcomes, rng.bit_generator.state
+__all__ = ["FleetShard", "ShardedFleet"]
 
 
 class FleetShard:
@@ -200,8 +145,8 @@ class FleetShard:
     # -- execution ---------------------------------------------------------
 
     def run_serial_part(self, t: float) -> int:
-        """VIP probes + degraded per-pair probes (main thread only: the
-        scalar and fast engines share the fabric RNG).
+        """VIP probes + degraded per-pair probes (the scalar and fast
+        engines draw from the fabric RNG).
 
         Degraded/faulted pairs feed the *agent's* pair-granularity stream
         aggregator, not the shard's class-granular one: these are exactly
@@ -228,32 +173,30 @@ class FleetShard:
                     ),
                 )
             self.probe_uploader.add_many(
-                make_records(
-                    fabric.topology,
-                    [
-                        (result, purpose, qos)
-                        for result, (purpose, qos) in zip(results, tags)
-                    ],
-                    server_cache=self._record_server_cache,
+                agent._tag_stale_many(
+                    make_records(
+                        fabric.topology,
+                        [
+                            (result, purpose, qos)
+                            for result, (purpose, qos) in zip(results, tags)
+                        ],
+                        server_cache=self._record_server_cache,
+                    )
                 )
             )
             launched += len(results)
         return launched
 
-    def run_class_part(
-        self, t: float, rng=None, ledger: ClassLedger | None = None
-    ) -> list:
-        """The closed-form draws.  Thread-safe iff ``ledger`` is given (and
-        no probe observers are attached — the fabric enforces that)."""
+    def run_class_part(self, t: float) -> list:
+        """The closed-form draws of the shard's merged plan, from the
+        shard's own RNG stream."""
         plan = self._plan
         if plan is None or not plan.groups:
             return []
-        return self.fleet.system.fabric.run_class_plan(
-            plan, t=t, rng=rng, ledger=ledger
-        )
+        return self.fleet.system.fabric.run_class_plan(plan, t=t, rng=self.rng)
 
     def fold_outcomes(self, t: float, outcomes: list) -> int:
-        """Fold class outcomes into the shard's planes (main thread)."""
+        """Fold class outcomes into the shard's planes."""
         launched = 0
         for outcome in outcomes:
             self.counters.add_class_round(outcome.failed, outcome.rtt_s)
@@ -291,17 +234,8 @@ class ShardedFleet:
     Usage::
 
         system = PingmeshSystem(config)        # round_mode="class" advised
-        fleet = ShardedFleet(system, workers=4)               # thread pool
-        fleet = ShardedFleet(system, workers=4, executor="process")
+        fleet = ShardedFleet(system)
         fleet.run_for(600.0)                   # one simulated 10-min window
-
-    ``executor`` selects how the per-shard class draws run: ``"serial"``
-    (main thread), ``"thread"`` (the default whenever ``workers > 0``) or
-    ``"process"`` (a :class:`ProcessPoolExecutor`, sidestepping the GIL).
-    All three are bit-identical under one seed — each shard owns its RNG
-    stream, and process workers replay the exact in-process draw sequence
-    from shipped RNG state.  Call :meth:`close` (or use the fleet as a
-    context manager) to reap a process pool.
 
     The system is started with ``schedule_probe_rounds=False``; everything
     else (pinglist refreshes, DSA jobs, stream ticks, watchdogs, repairs)
@@ -309,24 +243,8 @@ class ShardedFleet:
     fleet-round event in the same queue.
     """
 
-    def __init__(
-        self,
-        system: PingmeshSystem,
-        workers: int = 0,
-        executor: str | None = None,
-    ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0: {workers}")
-        if executor is None:
-            executor = "thread" if workers > 0 else "serial"
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; known: {EXECUTORS}")
-        if executor != "serial" and workers < 1:
-            raise ValueError(f"{executor} executor needs workers >= 1: {workers}")
+    def __init__(self, system: PingmeshSystem) -> None:
         self.system = system
-        self.workers = workers
-        self.executor = executor
-        self._pool: Executor | None = None
         self.shards: dict[tuple[int, int], FleetShard] = {}
         self._agent_count = -1
         self._scheduled = False
@@ -370,11 +288,10 @@ class ShardedFleet:
 
     def run_round(self, t: float | None = None) -> int:
         """One fleet-wide probe round: every shard's serial work, then every
-        shard's class draws (optionally on a worker pool), then the folds."""
+        shard's class draws, then the folds."""
         if t is None:
             t = self.system.clock.now
         self._refresh_shards()
-        fabric = self.system.fabric
         ordered = [self.shards[key] for key in sorted(self.shards)]
         launched = 0
         serial_launched = []
@@ -382,29 +299,7 @@ class ShardedFleet:
             n = shard.run_serial_part(t)
             serial_launched.append(n)
             launched += n
-        use_pool = (
-            self.executor != "serial"
-            and self.workers > 0
-            and not fabric.probe_observers
-        )
-        if use_pool and self.executor == "process":
-            outcome_lists = self._run_class_parts_process(ordered, t)
-        elif use_pool:
-            ledgers = [ClassLedger() for _ in ordered]
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(
-                        shard.run_class_part, t, rng=shard.rng, ledger=ledger
-                    )
-                    for shard, ledger in zip(ordered, ledgers)
-                ]
-                outcome_lists = [future.result() for future in futures]
-            for ledger in ledgers:
-                fabric.apply_class_ledger(ledger)
-        else:
-            outcome_lists = [
-                shard.run_class_part(t, rng=shard.rng) for shard in ordered
-            ]
+        outcome_lists = [shard.run_class_part(t) for shard in ordered]
         for shard, outcomes, n_serial in zip(ordered, outcome_lists, serial_launched):
             n_class = shard.fold_outcomes(t, outcomes)
             launched += n_class
@@ -417,93 +312,16 @@ class ShardedFleet:
         self.rounds_run += 1
         broker = self.system.broker
         if broker is not None:
-            # On-demand work runs strictly after every baseline draw, on the
-            # main thread with the fabric's own RNG: an idle broker draws
-            # nothing, so baseline streams are bit-identical either way.
+            # On-demand work runs strictly after every baseline draw, with
+            # the fabric's own RNG: an idle broker draws nothing, so
+            # baseline streams are bit-identical either way.
             self.broker_probes_sent += broker.on_fleet_round(self, t)
         return launched
 
-    def _run_class_parts_process(self, ordered: list[FleetShard], t: float) -> list:
-        """Fan the shards' class draws out to worker processes.
-
-        Per shard: ship ``(model params, RNG state)``, adopt the returned
-        outcomes and advanced RNG state, then apply the deferred side
-        effects from the *locally held* plan — SNMP counter objects never
-        cross the process boundary, so accounting lands on the live
-        switches exactly as thread mode's post-join ledger application
-        does.  Shards with empty plans are skipped without touching their
-        RNG, matching the serial path's early return.
-        """
-        fabric = self.system.fabric
-        version = fabric.topology.state_version.value
-        pool = self._process_pool()
-        futures: list = []
-        profile_cache: dict[int, object] = {}
-        for shard in ordered:
-            plan = shard._plan
-            if plan is None or not plan.groups:
-                futures.append(None)
-                continue
-            if plan.version != version:
-                raise ValueError(
-                    f"stale class plan: built at generation {plan.version}, "
-                    f"fabric is at {version}"
-                )
-            wire_groups = [
-                _WireGroup(
-                    purpose=group.purpose,
-                    qos=group.qos,
-                    dc_index=group.dc_index,
-                    dst_dc=group.dst_dc,
-                    scope=group.scope,
-                    n_hops=group.n_hops,
-                    wan_rtt=group.wan_rtt,
-                    p_attempt=group.p_attempt,
-                    n=group.n,
-                )
-                for group in plan.groups
-            ]
-            profiles = {}
-            for group in plan.groups:
-                if group.dc_index not in profiles:
-                    profile = profile_cache.get(group.dc_index)
-                    if profile is None:
-                        profile = profile_cache[group.dc_index] = (
-                            fabric.latency_model(group.dc_index).profile
-                        )
-                    profiles[group.dc_index] = profile
-            payload = (wire_groups, profiles, t, shard.rng.bit_generator.state)
-            futures.append(pool.submit(_run_shard_payload, payload))
-        outcome_lists = []
-        for shard, future in zip(ordered, futures):
-            if future is None:
-                outcome_lists.append([])
-                continue
-            outcomes, final_state = future.result()
-            shard.rng.bit_generator.state = final_state
-            ledger = ClassLedger()
-            ledger.probes_carried = sum(outcome.n for outcome in outcomes)
-            ledger.add_counters(shard._plan.counter_increments)
-            fabric.apply_class_ledger(ledger)
-            outcome_lists.append(outcomes)
-        return outcome_lists
-
-    def _process_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
     def close(self) -> None:
-        """Reap the worker pool (no-op for serial/thread execution)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Release the fleet's resources.  The fleet holds none (shards run
+        in this process), so this does nothing; it is kept for callers
+        that close what they build."""
 
     # -- scheduling --------------------------------------------------------
 

@@ -27,7 +27,7 @@ invalidated wholesale on any device transition, fault change, or growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,9 +62,7 @@ __all__ = [
     "ClassGroup",
     "ClassRoundPlan",
     "ClassOutcome",
-    "ClassLedger",
     "merge_class_plans",
-    "execute_class_groups",
     "DEFAULT_PROBE_PORT",
 ]
 
@@ -255,30 +253,6 @@ class ClassOutcome:
         return self.n - self.failed
 
 
-@dataclass
-class ClassLedger:
-    """Deferred side effects of a class round (worker-pool execution).
-
-    A shard running class rounds off the main thread must not mutate
-    shared state (the fabric's conservation ledger, switch SNMP counters);
-    it accumulates here and the driver applies the ledger after the join
-    via :meth:`Fabric.apply_class_ledger`.
-    """
-
-    probes_carried: int = 0
-    _counter_acc: dict = field(default_factory=dict)
-
-    def add_counters(self, increments) -> None:
-        acc = self._counter_acc
-        for counters, packets in increments:
-            key = id(counters)
-            entry = acc.get(key)
-            if entry is None:
-                acc[key] = [counters, packets]
-            else:
-                entry[1] += packets
-
-
 def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
     """Merge per-agent class plans into one (e.g. per podset shard).
 
@@ -339,64 +313,6 @@ def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
         n_class_probes=sum(group.n for group in merged_groups),
         counter_increments=[(c, k) for c, k in acc.values()],
     )
-
-
-def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
-    """One round of closed-form class draws — the pure-math core.
-
-    ``groups`` is any sequence of objects carrying the :class:`ClassGroup`
-    model fields (``purpose``, ``qos``, ``scope``, ``n``, ``p_attempt``,
-    ``dc_index``, ``n_hops``, ``wan_rtt``, ``dst_dc``); ``latency_models``
-    maps ``dc_index`` -> :class:`~repro.netsim.latency.LatencyModel`.  The
-    draw sequence per group is fixed (multinomial, then the latency
-    sample), so two callers holding generators in the same state produce
-    bit-identical outcomes — this is what lets a process-pool shard worker
-    replay a shard's round from a shipped RNG state and have the driver
-    adopt its results as if they were drawn in-process.
-
-    Shared-state side effects (conservation ledger, SNMP counters, probe
-    observers) are the caller's job; this function touches only ``draw``.
-    """
-    sig1 = tcp.syn_rtt_signature(1)
-    sig2 = tcp.syn_rtt_signature(2)
-    sig3 = tcp.syn_rtt_signature(3)
-    outcomes: list[ClassOutcome] = []
-    for group in groups:
-        m = group.n
-        p = group.p_attempt
-        p0 = 1.0 - p
-        counts = draw.multinomial(m, (p0, p * p0, p * p * p0, p * p * p))
-        n0, n1, n2, n_fail = (int(c) for c in counts)
-        n_ok = n0 + n1 + n2
-        if n_ok:
-            rtt = latency_models[group.dc_index].sample(
-                draw, group.n_hops, t=t, n=n_ok
-            )
-            if group.wan_rtt:
-                rtt += group.wan_rtt
-            if n1:
-                rtt[n0:n0 + n1] += sig1
-            if n2:
-                rtt[n0 + n1:] += sig2
-            one_drop = int(((rtt >= sig1) & (rtt < sig2)).sum())
-            two_drops = int(((rtt >= sig2) & (rtt < sig3)).sum())
-        else:
-            rtt = np.empty(0)
-            one_drop = two_drops = 0
-        outcomes.append(
-            ClassOutcome(
-                purpose=group.purpose,
-                qos=group.qos,
-                scope=group.scope,
-                n=m,
-                failed=n_fail,
-                one_drop=one_drop,
-                two_drops=two_drops,
-                rtt_s=rtt,
-                dst_dc=group.dst_dc,
-            )
-        )
-    return outcomes
 
 
 class Fabric:
@@ -1286,7 +1202,6 @@ class Fabric:
         plan: ClassRoundPlan,
         t: float = 0.0,
         rng: np.random.Generator | None = None,
-        ledger: ClassLedger | None = None,
     ) -> list[ClassOutcome]:
         """Execute one round of a class plan: one multinomial outcome draw
         plus one latency sample per group.
@@ -1295,43 +1210,61 @@ class Fabric:
         i.i.d. Bernoulli(p_attempt), so a group of ``m`` pairs is one
         Multinomial(m, [success, 1-drop, 2-drop, failure]) draw; successful
         RTTs sample from the DC latency model with the retransmission
-        signatures added per segment.  With ``ledger`` the shared-state
-        side effects (conservation ledger, SNMP counters) are deferred for
-        a post-join :meth:`apply_class_ledger` — thread-safe shard fan-out.
+        signatures added per segment.
         """
         if plan.version != self.topology.state_version.value:
             raise ValueError(
                 f"stale class plan: built at generation {plan.version}, "
                 f"fabric is at {self.topology.state_version.value}"
             )
-        if ledger is not None and self.probe_observers:
-            raise RuntimeError(
-                "deferred-ledger class rounds cannot notify probe observers; "
-                "run observed rounds on the main thread"
-            )
         draw = rng if rng is not None else self.rng
-        outcomes = execute_class_groups(plan.groups, self._latency, t, draw)
-        total = 0
+        sig1 = tcp.syn_rtt_signature(1)
+        sig2 = tcp.syn_rtt_signature(2)
+        sig3 = tcp.syn_rtt_signature(3)
+        outcomes: list[ClassOutcome] = []
+        for group in plan.groups:
+            m = group.n
+            p = group.p_attempt
+            p0 = 1.0 - p
+            counts = draw.multinomial(m, (p0, p * p0, p * p * p0, p * p * p))
+            n0, n1, n2, n_fail = (int(c) for c in counts)
+            n_ok = n0 + n1 + n2
+            if n_ok:
+                rtt = self._latency[group.dc_index].sample(
+                    draw, group.n_hops, t=t, n=n_ok
+                )
+                if group.wan_rtt:
+                    rtt += group.wan_rtt
+                if n1:
+                    rtt[n0:n0 + n1] += sig1
+                if n2:
+                    rtt[n0 + n1:] += sig2
+                one_drop = int(((rtt >= sig1) & (rtt < sig2)).sum())
+                two_drops = int(((rtt >= sig2) & (rtt < sig3)).sum())
+            else:
+                rtt = np.empty(0)
+                one_drop = two_drops = 0
+            outcomes.append(
+                ClassOutcome(
+                    purpose=group.purpose,
+                    qos=group.qos,
+                    scope=group.scope,
+                    n=m,
+                    failed=n_fail,
+                    one_drop=one_drop,
+                    two_drops=two_drops,
+                    rtt_s=rtt,
+                    dst_dc=group.dst_dc,
+                )
+            )
         if self.probe_observers:
             for group in plan.groups:
                 for member_src, member_dst, dst_port in group.members:
                     self._notify_probe(member_src, member_dst, t, 0, dst_port)
-        for group in plan.groups:
-            total += group.n
-        if ledger is None:
-            self.probes_carried += total
-            for counters, packets in plan.counter_increments:
-                counters.packets_forwarded += packets
-        else:
-            ledger.probes_carried += total
-            ledger.add_counters(plan.counter_increments)
-        return outcomes
-
-    def apply_class_ledger(self, ledger: ClassLedger) -> None:
-        """Fold a shard's deferred class-round side effects in (main thread)."""
-        self.probes_carried += ledger.probes_carried
-        for counters, packets in ledger._counter_acc.values():
+        self.probes_carried += sum(group.n for group in plan.groups)
+        for counters, packets in plan.counter_increments:
             counters.packets_forwarded += packets
+        return outcomes
 
     # -- switch management -----------------------------------------------------
 
